@@ -13,7 +13,9 @@ test:
 # link/host paths it perturbs, the congestion-control feedback consumers,
 # the conservation-audit ledger and the guard plane's cross-shard quiescent
 # reads), a one-shot benchmark smoke run, the telemetry-overhead proof
-# (disabled-path hot loops must stay at 0 allocs/op), the digest invariants
+# (disabled-path hot loops must stay at 0 allocs/op), the scheduler's
+# steady-state zero-alloc gate (schedule+fire and cancel+reschedule at ~4k
+# pending events), the digest invariants
 # (golden digests identical with telemetry, with an empty/vacuous fault
 # plan, with a vacuous feedback-fault plan, with the audit ledger attached —
 # that one also asserting zero conservation violations — and with the guard
@@ -39,6 +41,7 @@ check: build
 	$(GO) test -race -timeout 1800s ./internal/sim/... ./internal/exp/... ./internal/metrics/... ./internal/obs/... ./internal/fault/... ./internal/guard/... ./internal/link/... ./internal/host/... ./internal/audit/... ./internal/cc/... ./internal/chaos/... ./internal/scenario/... ./internal/stats/...
 	$(GO) test -run '^$$' -bench 'BenchmarkFig02' -benchtime=1x .
 	$(GO) test -run 'TestTelemetryDisabledPathAllocFree' -count=1 .
+	$(GO) test -run 'TestEngineSteadyStateAllocFree' -count=1 ./internal/sim/
 	$(GO) test -run 'TestDigestTelemetryInvariant' -short -count=1 ./internal/exp/
 	$(GO) test -run 'TestDigestFaultPlan' -short -count=1 ./internal/exp/
 	$(GO) test -run 'TestDigestFeedbackPlan' -short -count=1 ./internal/exp/

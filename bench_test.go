@@ -12,6 +12,7 @@ package mlcc
 // sweep.
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -278,6 +279,30 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkEngineScheduleDeep measures schedule+fire at a steady depth of
+// ~4k pending events with seeded random delays, so every insert and pop
+// sifts through a populated heap. EngineSchedule's constant delay appends
+// each event behind the rest and never sifts.
+func BenchmarkEngineScheduleDeep(b *testing.B) {
+	b.ReportAllocs()
+	const depth = 4096
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]sim.Time, depth) // depth is a power of two: index with a mask
+	for i := range delays {
+		delays[i] = sim.Time(1+rng.Intn(depth)) * sim.Nanosecond
+	}
+	e := sim.NewEngine()
+	fn := e.Stop // each Run fires exactly one event
+	for _, d := range delays {
+		e.After(d, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(delays[i&(depth-1)], fn)
+		e.Run()
+	}
 }
 
 // BenchmarkEngineCancelReschedule measures the pacing/timeout pattern used by

@@ -12,10 +12,15 @@ import (
 
 	"mlcc/internal/exp"
 	"mlcc/internal/obs"
+	"mlcc/internal/prof"
 	"mlcc/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command body. It returns the exit status instead of calling
+// os.Exit, so deferred cleanup, such as finishing the profiles, runs on every path.
+func run() (code int) {
 	var (
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		full    = flag.Bool("full", false, "run at the paper's full scale (slow)")
@@ -26,8 +31,23 @@ func main() {
 		csvDir  = flag.String("csv", "", "directory to write per-figure time-series CSVs")
 		manDir  = flag.String("manifests", "", "directory to write per-figure run manifests (JSON)")
 		serve   = flag.String("serve", "", "serve observability HTTP (/healthz, /manifest, /debug/pprof) on this address while figures run; each figure's manifests appear as it completes")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	)
 	flag.Parse()
+	stop, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mlccfig:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "mlccfig:", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	if *list {
 		for _, id := range exp.IDs() {
 			e, _ := exp.Lookup(id)
@@ -37,7 +57,7 @@ func main() {
 	}
 	if *fig == "" {
 		fmt.Fprintln(os.Stderr, "usage: mlccfig -fig <id>|all [-full] [-seed N]")
-		os.Exit(2)
+		return 2
 	}
 	ids := []string{*fig}
 	if *fig == "all" {
@@ -45,7 +65,7 @@ func main() {
 	}
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "mlccfig: -shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
+		return 2
 	}
 	cfg := exp.Config{Scale: exp.Quick, Seed: *seed, Workers: *workers, Shards: *shards}
 	if *full {
@@ -57,7 +77,7 @@ func main() {
 		addr, err := srv.Serve(*serve)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccfig:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "mlccfig: observability server on http://%s\n", addr)
@@ -67,13 +87,13 @@ func main() {
 		e, ok := exp.Lookup(id)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", id)
-			os.Exit(2)
+			return 2
 		}
 		t0 := time.Now()
 		rep, err := e.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("%s\n(elapsed %v)\n\n", rep, time.Since(t0).Round(time.Millisecond))
 		for _, w := range rep.Warnings {
@@ -91,19 +111,20 @@ func main() {
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: csv: %v\n", id, err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if *manDir != "" {
 			if err := writeManifests(*manDir, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: manifests: %v\n", id, err)
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // writeManifests exports the report's run manifests as

@@ -19,9 +19,14 @@ import (
 	"time"
 
 	"mlcc"
+	"mlcc/internal/prof"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command body. It returns the exit status instead of calling
+// os.Exit, so deferred cleanup, such as finishing the profiles, runs on every path.
+func run() (code int) {
 	var (
 		alg      = flag.String("alg", "mlcc", "congestion control algorithm: "+strings.Join(mlcc.Algorithms(), ", "))
 		wl       = flag.String("workload", "websearch", "traffic distribution: "+strings.Join(mlcc.Workloads(), ", "))
@@ -58,8 +63,23 @@ func main() {
 		telOut     = flag.String("telemetry-out", "", "write manifest.json/series.csv/flight.log to this directory (implies -metrics)")
 		sampleIvl  = flag.Duration("sample", 0, "telemetry time-series sampling interval (default 100µs when -telemetry-out is set)")
 		serveAddr  = flag.String("serve", "", "serve live observability HTTP (/metrics, /manifest, /flight, /trace, /debug/pprof) on this address during and after the run (implies -metrics); Ctrl-C to exit")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf    = flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	)
 	flag.Parse()
+	stop, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mlccsim:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "mlccsim:", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
@@ -94,19 +114,19 @@ func main() {
 	}
 	if *scenIn != "" && *scenKind != "" {
 		fmt.Fprintln(os.Stderr, "mlccsim: -scenario and -scenario-kind are mutually exclusive")
-		os.Exit(2)
+		return 2
 	}
 	if *scenIn != "" {
 		f, err := os.Open(*scenIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		cfg.Scenario, err = mlcc.ReadScenarioPlan(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *scenKind != "" {
@@ -117,7 +137,7 @@ func main() {
 		plan, err := mlcc.CanonicalScenario(*scenKind, totalHosts, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(2)
+			return 2
 		}
 		cfg.Scenario = plan
 	}
@@ -130,13 +150,13 @@ func main() {
 		f, err := os.Open(*faultIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		cfg.Fault, err = mlcc.ReadFaultPlan(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *wanLoss > 0 {
@@ -170,7 +190,7 @@ func main() {
 	nShards, warns, err := validateShards(*shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlccsim:", err)
-		os.Exit(2)
+		return 2
 	}
 	for _, w := range warns {
 		fmt.Fprintln(os.Stderr, "mlccsim:", w)
@@ -180,7 +200,7 @@ func main() {
 		f, err := os.Open(*flowsIn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		totalHosts := 2 * 4 * *hosts // leaves per DC × hosts per leaf × 2 DCs
 		if *dumbbell {
@@ -190,7 +210,7 @@ func main() {
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	var obsSrv *mlcc.ObsServer
@@ -199,7 +219,7 @@ func main() {
 		addr, err := obsSrv.Serve(*serveAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "mlccsim: observability server on http://%s\n", addr)
 		cfg.Obs = obsSrv
@@ -208,17 +228,17 @@ func main() {
 	res, err := mlcc.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlccsim:", err)
-		os.Exit(1)
+		return 1
 	}
 	if *flowsOut != "" {
 		f, err := os.Create(*flowsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := mlcc.WriteFlows(f, res.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		f.Close()
 	}
@@ -226,18 +246,18 @@ func main() {
 		f, err := os.Create(*fctOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := res.FCT.WriteCSV(f); err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 		f.Close()
 	}
 	if *telOut != "" {
 		if err := cfg.Telemetry.WriteDir(*telOut); err != nil {
 			fmt.Fprintln(os.Stderr, "mlccsim:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	fmt.Printf("algorithm      %s\n", *alg)
@@ -326,6 +346,7 @@ func main() {
 		obsSrv.Close()
 	}
 	if failure != "" {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

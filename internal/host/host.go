@@ -6,6 +6,7 @@ package host
 
 import (
 	"fmt"
+	"slices"
 
 	"mlcc/internal/audit"
 	"mlcc/internal/cc"
@@ -38,35 +39,33 @@ func (f *Flow) FCT() sim.Time {
 	return f.FinishAt - f.Start
 }
 
-// Table is the global flow registry for one simulation.
+// Table is the global flow registry for one simulation. Add assigns IDs
+// densely from 1, so flow id lives at flows[id-1].
 type Table struct {
-	flows map[pkt.FlowID]*Flow
-	next  pkt.FlowID
+	flows []*Flow
 }
 
 // NewTable returns an empty registry.
-func NewTable() *Table { return &Table{flows: make(map[pkt.FlowID]*Flow)} }
+func NewTable() *Table { return &Table{} }
 
 // Add registers a flow, assigning its ID, and returns it.
 func (t *Table) Add(info cc.FlowInfo, start sim.Time) *Flow {
-	t.next++
-	info.ID = t.next
+	info.ID = pkt.FlowID(len(t.flows) + 1)
 	f := &Flow{Info: info, Start: start}
-	t.flows[info.ID] = f
+	t.flows = append(t.flows, f)
 	return f
 }
 
 // Get returns the flow with the given id, or nil.
-func (t *Table) Get(id pkt.FlowID) *Flow { return t.flows[id] }
-
-// All returns every registered flow (map iteration order; callers sort).
-func (t *Table) All() []*Flow {
-	out := make([]*Flow, 0, len(t.flows))
-	for _, f := range t.flows {
-		out = append(out, f)
+func (t *Table) Get(id pkt.FlowID) *Flow {
+	if i := int(id) - 1; i >= 0 && i < len(t.flows) {
+		return t.flows[i]
 	}
-	return out
+	return nil
 }
+
+// All returns every registered flow in ID order, as a fresh slice.
+func (t *Table) All() []*Flow { return slices.Clone(t.flows) }
 
 // Len reports the number of registered flows.
 func (t *Table) Len() int { return len(t.flows) }

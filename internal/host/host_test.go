@@ -419,11 +419,21 @@ func TestTableBookkeeping(t *testing.T) {
 	if table.Len() != 2 {
 		t.Fatalf("Len = %d", table.Len())
 	}
-	if table.Get(f1.Info.ID) != f1 || table.Get(999) != nil {
+	if table.Get(f1.Info.ID) != f1 || table.Get(f2.Info.ID) != f2 {
 		t.Fatal("Get broken")
 	}
-	if len(table.All()) != 2 {
-		t.Fatal("All broken")
+	for _, id := range []pkt.FlowID{0, -1, 3, 999} {
+		if table.Get(id) != nil {
+			t.Fatalf("Get(%d) = non-nil for an unregistered id", id)
+		}
+	}
+	all := table.All()
+	if len(all) != 2 || all[0] != f1 || all[1] != f2 {
+		t.Fatal("All must return every flow in ID order")
+	}
+	all[0] = nil // callers own the returned slice
+	if table.Get(f1.Info.ID) != f1 {
+		t.Fatal("writing through All's result changed the table")
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Event is a scheduled callback owned by an Engine. Events are pooled: once
 // an event fires, is compacted away, or is popped after cancellation, its
@@ -11,8 +8,6 @@ import (
 // holds an *Event; it holds a Timer handle whose generation check makes
 // stale handles inert (see the "Performance model" section of DESIGN.md).
 type Event struct {
-	at       Time
-	seq      uint64 // tie-break so equal-time events fire in schedule order
 	gen      uint32 // bumped on recycle; stale Timer handles no-op
 	canceled bool
 	fn       func()
@@ -65,26 +60,86 @@ func (t *Timer) Active() bool {
 // pass is considered; below it the lazy pop-time discard is cheaper.
 const compactMin = 64
 
-type eventHeap []*Event
+// entry is one heap slot. The (at, seq) key sits inline so sifts compare
+// without dereferencing the event; seq is unique per engine, so (at, seq) is
+// a strict total order and the pop sequence does not depend on heap shape.
+type entry struct {
+	at  Time
+	seq uint64 // tie-break so equal-time events fire in schedule order
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventHeap is a 4-ary min-heap of entries: the children of slot i are
+// 4i+1..4i+4. The wider fan-out halves the depth of a binary heap, and the
+// four children of a slot share a cache line or two.
+type eventHeap []entry
+
+// push inserts x and sifts it up.
+func (h *eventHeap) push(x entry) {
+	q := append(*h, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = x
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any) {
-	*h = append(*h, x.(*Event))
+
+// pop removes the minimum entry, which the caller has already read at h[0].
+func (h *eventHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	x := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	if n > 0 {
+		q.down(0, x)
+	}
+	*h = q
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// down places x at slot i or below, moving smaller children up.
+func (h eventHeap) down(i int, x entry) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+}
+
+// init restores the heap invariant over arbitrary contents. Heaps of fewer
+// than two entries are already ordered; the guard also keeps (0-2)/4, which
+// Go truncates to 0, from indexing an empty slice.
+func (h eventHeap) init() {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		h.down(i, h[i])
+	}
 }
 
 // maxTime is the sentinel deadline used by Run: beyond any schedulable time.
@@ -149,11 +204,9 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		ev = &Event{eng: e}
 		e.allocs++
 	}
-	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
+	e.heap.push(entry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.heap, ev)
 	e.live++
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -203,17 +256,18 @@ func (e *Engine) RunUntil(deadline Time) {
 		return
 	}
 	for len(e.heap) > 0 {
-		next := e.heap[0]
-		if next.at > deadline {
+		top := e.heap[0]
+		if top.at > deadline {
 			break
 		}
-		heap.Pop(&e.heap)
+		e.heap.pop()
+		next := top.ev
 		if next.canceled {
 			e.canceledN--
 			e.recycle(next)
 			continue
 		}
-		e.now = next.at
+		e.now = top.at
 		fn := next.fn
 		e.live--
 		// Recycle before calling fn: the callback may schedule new events,
@@ -242,21 +296,19 @@ func (e *Engine) recycle(ev *Event) {
 }
 
 // compact removes cancelled events from the heap in one pass and restores
-// the heap invariant. Relative order of survivors is preserved because the
-// (at, seq) comparison is untouched.
+// the heap invariant. Relative order of survivors is preserved because their
+// (at, seq) keys are untouched.
 func (e *Engine) compact() {
 	dst := e.heap[:0]
-	for _, ev := range e.heap {
-		if ev.canceled {
-			e.recycle(ev)
+	for _, x := range e.heap {
+		if x.ev.canceled {
+			e.recycle(x.ev)
 		} else {
-			dst = append(dst, ev)
+			dst = append(dst, x)
 		}
 	}
-	for i := len(dst); i < len(e.heap); i++ {
-		e.heap[i] = nil
-	}
+	clear(e.heap[len(dst):])
 	e.heap = dst
-	heap.Init(&e.heap)
+	e.heap.init()
 	e.canceledN = 0
 }

@@ -425,6 +425,124 @@ func TestEngineCancelHeavyDeterminism(t *testing.T) {
 	}
 }
 
+// Compaction rebuilds the 4-ary heap from whatever survives. Survivor counts
+// of 0, 1 and 2 hit the empty and trivial rebuilds; 4, 5 and 6 straddle the
+// root's last child (slot 4) and the first grandchild (slot 5). Events
+// scheduled afterwards at equal and earlier times must still fire in
+// (at, schedule order).
+func TestEngineCompactEdges(t *testing.T) {
+	for _, survivors := range []int{0, 1, 2, 4, 5, 6} {
+		for trial := int64(0); trial < 20; trial++ {
+			rng := rand.New(rand.NewSource(trial))
+			e := NewEngine()
+			type rec struct {
+				at       Time
+				canceled bool
+			}
+			var recs []rec
+			var timers []Timer
+			var fired []int
+			schedule := func(at Time) {
+				id := len(recs)
+				recs = append(recs, rec{at: at})
+				timers = append(timers, e.At(at, func() { fired = append(fired, id) }))
+			}
+			// compactMin cancellations out of compactMin+survivors events
+			// trigger exactly one compaction, on the last cancel.
+			n := compactMin + survivors
+			for i := 0; i < n; i++ {
+				schedule(Time(1+rng.Intn(8)) * Microsecond)
+			}
+			for _, i := range rng.Perm(n)[:compactMin] {
+				timers[i].Cancel()
+				recs[i].canceled = true
+			}
+			if e.PendingRaw() != survivors || e.Pending() != survivors {
+				t.Fatalf("survivors=%d: PendingRaw = %d, Pending = %d after compaction",
+					survivors, e.PendingRaw(), e.Pending())
+			}
+			for i := 0; i < 7; i++ {
+				schedule(Time(rng.Intn(9)) * Microsecond)
+			}
+			e.Run()
+
+			var want []int
+			for id, r := range recs {
+				if !r.canceled {
+					want = append(want, id)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return recs[want[i]].at < recs[want[j]].at })
+			if len(fired) != len(want) {
+				t.Fatalf("survivors=%d trial %d: fired %d events, want %d", survivors, trial, len(fired), len(want))
+			}
+			for i := range want {
+				if fired[i] != want[i] {
+					t.Fatalf("survivors=%d trial %d: order diverged at %d: got %v, want %v",
+						survivors, trial, i, fired, want)
+				}
+			}
+		}
+	}
+}
+
+// newDeepEngine returns an engine holding depth pending events at seeded
+// random delays, plus a delay source over the same range. fn stops the run,
+// so each Run fires exactly one event and the depth stays put.
+func newDeepEngine(depth int) (e *Engine, delay func() Time, fn func()) {
+	e = NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	delay = func() Time { return Time(1+rng.Intn(depth)) * Nanosecond }
+	fn = e.Stop
+	for i := 0; i < depth; i++ {
+		e.After(delay(), fn)
+	}
+	return e, delay, fn
+}
+
+// The scheduler must not allocate in steady state: heap slots, free-list
+// slots and event structs are all reused once a workload has warmed up.
+// Each measured batch spans more than one compaction cycle, and a single
+// measured run keeps AllocsPerRun's integer average from hiding a stray
+// allocation.
+func TestEngineSteadyStateAllocFree(t *testing.T) {
+	const depth = 4096
+	t.Run("schedule+fire", func(t *testing.T) {
+		e, delay, fn := newDeepEngine(depth)
+		batch := func() {
+			for i := 0; i < 3*depth; i++ {
+				e.After(delay(), fn)
+				e.Run()
+			}
+		}
+		batch()
+		if n := testing.AllocsPerRun(1, batch); n != 0 {
+			t.Errorf("schedule+fire allocated %v per batch", n)
+		}
+		if e.Pending() != depth {
+			t.Fatalf("Pending = %d, want %d", e.Pending(), depth)
+		}
+	})
+	t.Run("cancel+reschedule", func(t *testing.T) {
+		e, delay, fn := newDeepEngine(depth)
+		batch := func() {
+			for i := 0; i < 3*depth; i++ {
+				tm := e.After(delay(), fn)
+				tm.Cancel()
+				e.After(delay(), fn)
+				e.Run()
+			}
+		}
+		batch()
+		if n := testing.AllocsPerRun(1, batch); n != 0 {
+			t.Errorf("cancel+reschedule allocated %v per batch", n)
+		}
+		if e.Pending() != depth {
+			t.Fatalf("Pending = %d, want %d", e.Pending(), depth)
+		}
+	})
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()

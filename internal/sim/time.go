@@ -1,7 +1,7 @@
 // Package sim provides the deterministic discrete-event simulation core used
 // by every other package in this repository: an integer picosecond clock, a
-// cancellable event scheduler backed by a binary heap, and bandwidth/
-// serialization arithmetic.
+// cancellable event scheduler backed by a typed 4-ary heap with inline
+// (at, seq) keys, and bandwidth/serialization arithmetic.
 //
 // The engine is single-goroutine by design: determinism (bit-identical runs
 // for a given seed) is a hard requirement for reproducing the paper's
