@@ -12,6 +12,7 @@ package mlcc
 // sweep.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -302,6 +303,40 @@ func BenchmarkEngineScheduleDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(delays[i&(depth-1)], fn)
 		e.Run()
+	}
+}
+
+// BenchmarkEngineHold measures the hold pattern that dominates real runs:
+// each firing callback re-arms itself at a seeded random delay, so its
+// schedule takes the fired event's root slot at a steady depth.
+// EngineScheduleDeep schedules from outside callbacks and never takes that
+// path.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, depth := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]sim.Time, depth) // depth is a power of two: index with a mask
+			for i := range delays {
+				delays[i] = sim.Time(1+rng.Intn(depth)) * sim.Nanosecond
+			}
+			e := sim.NewEngine()
+			fired, left := 0, 0
+			var fn func()
+			fn = func() {
+				e.After(delays[fired&(depth-1)], fn)
+				fired++
+				if left--; left == 0 {
+					e.Stop()
+				}
+			}
+			for _, d := range delays {
+				e.After(d, fn)
+			}
+			b.ResetTimer()
+			left = b.N
+			e.Run()
+		})
 	}
 }
 

@@ -29,7 +29,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mlcc/internal/link"
@@ -93,7 +92,7 @@ type linkRec struct {
 // A nil *Ledger is valid everywhere and records nothing.
 type Ledger struct {
 	fr    *metrics.FlightRecorder
-	flows map[pkt.FlowID]*FlowRec
+	flows []*FlowRec   // indexed by flow id (dense from host.Table); nil = unseen
 	order []pkt.FlowID // creation order, for deterministic reports
 	links []linkRec
 
@@ -122,7 +121,7 @@ type Ledger struct {
 
 // New returns an empty ledger.
 func New() *Ledger {
-	return &Ledger{flows: make(map[pkt.FlowID]*FlowRec)}
+	return &Ledger{}
 }
 
 // Enabled reports whether the ledger is recording (i.e. non-nil).
@@ -207,6 +206,9 @@ func Merged(parts ...*Ledger) *Ledger {
 
 // rec returns (creating if needed) the record for a flow.
 func (l *Ledger) rec(id pkt.FlowID) *FlowRec {
+	if n := int(id) + 1; n > len(l.flows) {
+		l.flows = append(l.flows, make([]*FlowRec, n-len(l.flows))...)
+	}
 	r := l.flows[id]
 	if r == nil {
 		r = &FlowRec{ID: id}
@@ -387,7 +389,7 @@ func (l *Ledger) AddLink(name string, a, b *link.Port) {
 // Flow returns the ledger's record for a flow, or nil (for tests and
 // diagnostics).
 func (l *Ledger) Flow(id pkt.FlowID) *FlowRec {
-	if l == nil {
+	if l == nil || uint(id) >= uint(len(l.flows)) {
 		return nil
 	}
 	return l.flows[id]
@@ -440,10 +442,11 @@ func (l *Ledger) Problems(drained bool) []string {
 	addf := func(format string, args ...any) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
-	ids := append([]pkt.FlowID(nil), l.order...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		r := l.flows[id]
+	for _, r := range l.flows { // id order
+		if r == nil {
+			continue
+		}
+		id := r.ID
 		pkts, bytes := r.unaccounted()
 		if pkts < 0 || bytes < 0 {
 			addf("flow %d: over-accounted (in-flight %d pkts / %d bytes is negative: a frame terminated twice)", id, pkts, bytes)
@@ -501,6 +504,9 @@ func (l *Ledger) Summary() string {
 	done, aborted := 0, 0
 	var abortUnacked int64
 	for _, r := range l.flows {
+		if r == nil {
+			continue
+		}
 		if r.Done {
 			done++
 		}
@@ -520,7 +526,7 @@ func (l *Ledger) Summary() string {
 	}
 	return fmt.Sprintf(
 		"audit: flows=%d done=%d aborted=%d injected=%d pkts (%d B) delivered=%d wred=%d corrupt=%d admin_down=%d dup=%d gap=%d abort_unacked=%d B ctl_fault_drops=%d fb_drops=%d links=%d",
-		len(l.flows), done, aborted, t.InjectedPkts, t.InjectedBytes, t.DeliveredPkts,
+		len(l.order), done, aborted, t.InjectedPkts, t.InjectedBytes, t.DeliveredPkts,
 		t.WREDPkts, t.CorruptPkts, t.DownPkts, t.DupPkts, t.GapPkts, abortUnacked,
 		l.ControlFaultDrops, l.FeedbackDrops, len(l.links))
 }

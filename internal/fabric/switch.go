@@ -72,7 +72,7 @@ type Switch struct {
 
 	ports  []*link.Port
 	disc   []Discipline
-	routes map[pkt.NodeID][]int // destination host -> ECMP candidate egress ports
+	routes [][]int // indexed by destination host id -> ECMP candidate egress ports
 
 	hooks Hooks
 
@@ -116,11 +116,10 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config) *Switch {
 		cfg.ECNPmax = 1
 	}
 	return &Switch{
-		Cfg:    cfg,
-		Eng:    eng,
-		Pool:   pool,
-		routes: make(map[pkt.NodeID][]int),
-		rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<17 ^ 0x5eed)),
+		Cfg:  cfg,
+		Eng:  eng,
+		Pool: pool,
+		rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<17 ^ 0x5eed)),
 	}
 }
 
@@ -210,8 +209,12 @@ func (s *Switch) DisciplineAt(i int) Discipline { return s.disc[i] }
 func (s *Switch) SetHooks(h Hooks) { s.hooks = h }
 
 // AddRoute registers egress port candidates for a destination host. Called
-// repeatedly it builds the ECMP set.
+// repeatedly it builds the ECMP set. Host ids are small and dense, so the
+// table is a slice indexed by id, grown on demand.
 func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
+	if n := int(dst) + 1; n > len(s.routes) {
+		s.routes = append(s.routes, make([][]int, n-len(s.routes))...)
+	}
 	s.routes[dst] = append(s.routes[dst], port)
 }
 
@@ -219,7 +222,10 @@ func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
 // id across the ECMP set. It panics on unknown destinations: a routing hole
 // is always a topology bug.
 func (s *Switch) RouteFor(dst pkt.NodeID, flow pkt.FlowID) int {
-	cands := s.routes[dst]
+	var cands []int
+	if uint(dst) < uint(len(s.routes)) {
+		cands = s.routes[dst]
+	}
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("fabric: switch %d has no route to %d", s.Cfg.ID, dst))
 	}

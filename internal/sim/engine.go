@@ -43,7 +43,7 @@ func (t *Timer) Cancel() {
 	e := ev.eng
 	e.live--
 	e.canceledN++
-	if e.canceledN >= compactMin && e.canceledN*2 > len(e.heap) {
+	if e.canceledN >= compactMin && e.canceledN*2 > e.PendingRaw() {
 		e.compact()
 	}
 }
@@ -148,9 +148,18 @@ const maxTime = Time(1)<<62 - 1
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use: all scheduling must happen from the engine goroutine
 // (i.e. from within event callbacks or before Run).
+//
+// Scheduling follows the hold model: RunUntil does not pop a fired event
+// before running its callback but leaves its root slot open as a hole, and
+// the first At issued while the hole is open writes the new entry into the
+// root and sifts it down. A callback that re-arms a near-future event thus
+// costs one short sift instead of a full-depth pop plus a sift-up. While
+// the hole is open heap[0] is a dead entry whose event is already recycled;
+// every reader skips or closes it, and RunUntil closes it before it returns.
 type Engine struct {
 	now     Time
 	heap    eventHeap
+	hole    bool // heap[0] is a fired entry awaiting replacement or pop
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -179,7 +188,12 @@ func (e *Engine) Pending() int { return e.live }
 
 // PendingRaw reports the scheduler heap size, including cancelled-but-
 // unpopped events — the quantity that bounds heap memory and pop cost.
-func (e *Engine) PendingRaw() int { return len(e.heap) }
+func (e *Engine) PendingRaw() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // EventAllocs reports how many Event structs were heap-allocated (vs served
 // from the free list), for allocation tests and diagnostics.
@@ -205,7 +219,13 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		e.allocs++
 	}
 	ev.fn = fn
-	e.heap.push(entry{at: t, seq: e.seq, ev: ev})
+	x := entry{at: t, seq: e.seq, ev: ev}
+	if e.hole {
+		e.hole = false
+		e.heap.down(0, x)
+	} else {
+		e.heap.push(x)
+	}
 	e.seq++
 	e.live++
 	return Timer{ev: ev, gen: ev.gen}
@@ -255,14 +275,18 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.stopped = false
 		return
 	}
-	for len(e.heap) > 0 {
+	for {
+		e.closeHole()
+		if len(e.heap) == 0 {
+			break
+		}
 		top := e.heap[0]
 		if top.at > deadline {
 			break
 		}
-		e.heap.pop()
 		next := top.ev
 		if next.canceled {
+			e.heap.pop()
 			e.canceledN--
 			e.recycle(next)
 			continue
@@ -275,14 +299,25 @@ func (e *Engine) RunUntil(deadline Time) {
 		// inside recycle makes any handle to the firing event stale first.
 		e.recycle(next)
 		e.fired++
+		e.hole = true
 		fn()
 		if e.stopped {
+			e.closeHole()
 			e.stopped = false
 			return
 		}
 	}
 	if e.now < deadline && deadline < maxTime {
 		e.now = deadline
+	}
+}
+
+// closeHole pops the fired entry RunUntil left at the root, if no schedule
+// has taken its place.
+func (e *Engine) closeHole() {
+	if e.hole {
+		e.hole = false
+		e.heap.pop()
 	}
 }
 
@@ -297,8 +332,11 @@ func (e *Engine) recycle(ev *Event) {
 
 // compact removes cancelled events from the heap in one pass and restores
 // the heap invariant. Relative order of survivors is preserved because their
-// (at, seq) keys are untouched.
+// (at, seq) keys are untouched. An open hole is closed first so the filter
+// sees only scheduled entries: the root's event is already recycled and
+// would otherwise pass for a live survivor.
 func (e *Engine) compact() {
+	e.closeHole()
 	dst := e.heap[:0]
 	for _, x := range e.heap {
 		if x.ev.canceled {

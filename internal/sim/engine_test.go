@@ -486,6 +486,198 @@ func TestEngineCompactEdges(t *testing.T) {
 	}
 }
 
+// holdRig schedules events on an engine and keeps the reference model the
+// fuzz target uses: surviving events fire in (at, insertion order).
+type holdRig struct {
+	e      *Engine
+	at     []Time
+	dead   []bool
+	timers []Timer
+	fired  []int
+}
+
+// schedule arms an event at t whose callback records it and then runs then.
+func (r *holdRig) schedule(t Time, then func()) {
+	id := len(r.at)
+	r.at = append(r.at, t)
+	r.dead = append(r.dead, false)
+	r.timers = append(r.timers, r.e.At(t, func() {
+		r.fired = append(r.fired, id)
+		if then != nil {
+			then()
+		}
+	}))
+}
+
+func (r *holdRig) cancel(id int) {
+	if r.timers[id].Active() {
+		r.dead[id] = true
+	}
+	r.timers[id].Cancel()
+}
+
+// check drains the engine and compares the firing order with the oracle.
+func (r *holdRig) check(t *testing.T) {
+	t.Helper()
+	for r.e.PendingRaw() > 0 {
+		r.e.Run()
+	}
+	var want []int
+	for id := range r.at {
+		if !r.dead[id] {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return r.at[want[i]] < r.at[want[j]] })
+	if len(r.fired) != len(want) {
+		t.Fatalf("fired %v, want %v", r.fired, want)
+	}
+	for i := range want {
+		if r.fired[i] != want[i] {
+			t.Fatalf("firing order %v, want %v", r.fired, want)
+		}
+	}
+}
+
+// RunUntil leaves a fired event's root slot open while its callback runs and
+// lets the callback's first schedule take it. None of that may show through
+// the engine's surface: inside the callback the fired event is already gone
+// from Pending and PendingRaw, every schedule/cancel/Stop mix fires in oracle
+// order, and a compaction triggered from the callback never resurrects the
+// fired event's recycled struct.
+func TestEngineHoldEdges(t *testing.T) {
+	us := Microsecond
+	t.Run("pending", func(t *testing.T) {
+		r := &holdRig{e: NewEngine()}
+		var live, raw [2]int
+		r.schedule(us, func() {
+			live[0], raw[0] = r.e.Pending(), r.e.PendingRaw()
+			r.schedule(r.e.Now(), nil)
+			live[1], raw[1] = r.e.Pending(), r.e.PendingRaw()
+		})
+		for i := 0; i < 5; i++ {
+			r.schedule(Time(2+i)*us, nil)
+		}
+		r.cancel(3)
+		r.e.RunUntil(us)
+		if live != [2]int{4, 5} || raw != [2]int{5, 6} {
+			t.Fatalf("in callback: Pending %v, PendingRaw %v; want [4 5], [5 6]", live, raw)
+		}
+		if r.e.Pending() != 4 || r.e.PendingRaw() != 5 {
+			t.Fatalf("after run: Pending = %d, PendingRaw = %d, want 4, 5", r.e.Pending(), r.e.PendingRaw())
+		}
+		r.check(t)
+	})
+	t.Run("schedule-0-1-3", func(t *testing.T) {
+		// Children land at Now() (behind equal-time pending events), before
+		// the next pending event, and after the last one.
+		offsets := []Time{0, 2 * us, 9 * us}
+		for _, k := range []int{0, 1, 3} {
+			r := &holdRig{e: NewEngine()}
+			r.schedule(us, nil)
+			r.schedule(2*us, func() {
+				for _, d := range offsets[:k] {
+					r.schedule(r.e.Now()+d, nil)
+				}
+			})
+			r.schedule(2*us, nil)
+			r.schedule(5*us, nil)
+			r.schedule(8*us, nil)
+			r.check(t)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 200; trial++ {
+			r := &holdRig{e: NewEngine()}
+			var parent func()
+			parent = func() {
+				for k := rng.Intn(4); k > 0; k-- {
+					var then func()
+					if rng.Intn(4) == 0 {
+						then = parent
+					}
+					r.schedule(r.e.Now()+Time(rng.Intn(20))*us, then)
+				}
+			}
+			for i := 0; i < 1+rng.Intn(40); i++ {
+				r.schedule(Time(rng.Intn(20))*us, parent)
+			}
+			r.check(t)
+		}
+	})
+	t.Run("stop", func(t *testing.T) {
+		for _, stopFirst := range []bool{false, true} {
+			r := &holdRig{e: NewEngine()}
+			r.schedule(us, func() {
+				if stopFirst {
+					r.e.Stop()
+				}
+				r.schedule(3*us, nil)
+				if !stopFirst {
+					r.e.Stop()
+				}
+			})
+			r.schedule(2*us, nil)
+			r.schedule(4*us, nil)
+			r.e.Run()
+			if r.e.Now() != us || r.e.PendingRaw() != 3 || r.e.Pending() != 3 {
+				t.Fatalf("stopFirst=%v: Now = %v, PendingRaw = %d, Pending = %d; want 1us, 3, 3",
+					stopFirst, r.e.Now(), r.e.PendingRaw(), r.e.Pending())
+			}
+			r.check(t)
+		}
+		// A Stop with nothing scheduled must also leave the slot closed.
+		r := &holdRig{e: NewEngine()}
+		r.schedule(us, r.e.Stop)
+		r.schedule(2*us, nil)
+		r.e.Run()
+		if r.e.PendingRaw() != 1 || r.e.hole {
+			t.Fatalf("PendingRaw = %d, hole = %v after a bare in-callback Stop", r.e.PendingRaw(), r.e.hole)
+		}
+		r.check(t)
+	})
+	t.Run("compact", func(t *testing.T) {
+		// 2*compactMin pending events; the callback cancels compactMin+1 of
+		// them, which compacts on the last cancel, with the root slot open
+		// (cancel before scheduling) or already taken (schedule first).
+		for _, scheduleFirst := range []bool{false, true} {
+			r := &holdRig{e: NewEngine()}
+			const n = 2 * compactMin
+			var canceledN, raw int
+			r.schedule(0, func() {
+				if scheduleFirst {
+					r.schedule(r.e.Now(), nil)
+				}
+				for id := 1; id <= compactMin+1; id++ {
+					r.cancel(id)
+				}
+				canceledN, raw = r.e.canceledN, r.e.PendingRaw()
+				r.schedule(r.e.Now(), nil)
+				r.schedule(r.e.Now()+5*us, nil)
+			})
+			for i := 0; i < n; i++ {
+				r.schedule(Time(1+i%10)*us, nil)
+			}
+			r.e.RunUntil(0)
+			want := n - compactMin - 1
+			if scheduleFirst {
+				want++
+			}
+			if canceledN != 0 || raw != want {
+				t.Fatalf("scheduleFirst=%v: after the cancels canceledN = %d, PendingRaw = %d; want 0, %d",
+					scheduleFirst, canceledN, raw, want)
+			}
+			r.check(t)
+			seen := map[*Event]bool{}
+			for _, ev := range r.e.free {
+				if seen[ev] {
+					t.Fatalf("scheduleFirst=%v: event struct recycled twice", scheduleFirst)
+				}
+				seen[ev] = true
+			}
+		}
+	})
+}
+
 // newDeepEngine returns an engine holding depth pending events at seeded
 // random delays, plus a delay source over the same range. fn stops the run,
 // so each Run fires exactly one event and the depth stays put.
@@ -523,6 +715,46 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 			t.Fatalf("Pending = %d, want %d", e.Pending(), depth)
 		}
 	})
+	// Callbacks that re-arm themselves take the fired event's root slot;
+	// with a cancelled arm first, compaction runs from inside callbacks.
+	for _, cancelFirst := range []bool{false, true} {
+		name := "hold"
+		if cancelFirst {
+			name = "hold+cancel"
+		}
+		t.Run(name, func(t *testing.T) {
+			e, delay, _ := newDeepEngine(depth)
+			left := 0
+			var fn func()
+			fn = func() {
+				if cancelFirst {
+					tm := e.After(delay(), fn)
+					tm.Cancel()
+				}
+				e.After(delay(), fn)
+				if left--; left == 0 {
+					e.Stop()
+				}
+			}
+			for e.Pending() > 0 { // replace the Stop-only events with fn
+				e.Run()
+			}
+			for i := 0; i < depth; i++ {
+				e.After(delay(), fn)
+			}
+			batch := func() {
+				left = 3 * depth
+				e.Run()
+			}
+			batch()
+			if n := testing.AllocsPerRun(1, batch); n != 0 {
+				t.Errorf("%s allocated %v per batch", name, n)
+			}
+			if e.Pending() != depth {
+				t.Fatalf("Pending = %d, want %d", e.Pending(), depth)
+			}
+		})
+	}
 	t.Run("cancel+reschedule", func(t *testing.T) {
 		e, delay, fn := newDeepEngine(depth)
 		batch := func() {

@@ -7,16 +7,26 @@ import (
 
 // FuzzEngineSchedule drives the pooled-event engine with a fuzz-decoded op
 // sequence — schedule (At/After), cancel through Timer handles (including
-// stale handles to fired events), and partial RunUntil advances — and checks
-// the fired sequence against a reference model: a plain list stable-sorted by
-// (at, insertion order) with cancelled entries removed. This is the oracle
-// for the invariants the pooling makes subtle: recycling must never let a
-// stale Timer cancel an unrelated event that reuses its struct, and the
+// stale handles to fired events), partial RunUntil advances, and parent
+// events whose callbacks schedule, cancel and stop from inside the run — and
+// checks the fired sequence against a reference model: a plain list
+// stable-sorted by (at, insertion order) with cancelled entries removed. This
+// is the oracle for the invariants the pooling and the hold-model root
+// replacement make subtle: recycling must never let a stale Timer cancel an
+// unrelated event that reuses its struct, a compaction or Stop inside a
+// callback must never let the fired event's root slot survive, and the
 // (at, seq) tie-break must hold across compaction passes.
+//
+// Outer ops are one byte b, decoded by b%4: 0 At, 1 After (or, with the high
+// bit set, a parent event), 2 cancel one handle, 3 RunUntil. A firing parent
+// reads a count and then that many in-callback ops from the same stream:
+// 0 schedule a child, 1 schedule a child parent, 2 cancel a run of up to 128
+// handles (enough to compact), 3 Stop.
 func FuzzEngineSchedule(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 5, 3, 20, 0, 5, 2, 0, 3, 255})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 2, 1, 2, 1, 3, 0})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 2, 7, 2, 6, 2, 5, 2, 4, 3, 200})
+	f.Add([]byte{0, 9, 0, 1, 0x81, 1, 3, 2, 3, 0, 4, 3, 0, 0, 1, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -39,30 +49,64 @@ func FuzzEngineSchedule(f *testing.F) {
 			pos++
 			return b
 		}
+		// cancel cancels handle i, possibly stale or already cancelled. Only a
+		// live handle removes the event; cancelling a fired or
+		// already-cancelled timer must be inert, so the model entry flips
+		// only when the engine agrees the event is still live.
+		cancel := func(i int) {
+			if timers[i].Active() {
+				model[i].canceled = true
+			}
+			timers[i].Cancel()
+		}
+		var schedule func(d Time, parent bool)
+		schedule = func(d Time, parent bool) {
+			id := len(model)
+			at := eng.Now() + d
+			model = append(model, ref{at: at, id: id})
+			timers = append(timers, eng.At(at, func() {
+				if eng.Now() != at {
+					t.Fatalf("event %d fired at %v, scheduled for %v", id, eng.Now(), at)
+				}
+				fired = append(fired, id)
+				if !parent {
+					return
+				}
+				for k := next() % 8; k > 0; k-- {
+					switch op := next() % 4; op {
+					case 0, 1:
+						schedule(Time(next())*Microsecond, op == 1)
+					case 2:
+						i, n := int(next()), int(next())%128+1
+						for j := 0; j < n; j++ {
+							cancel((i + j) % len(timers))
+						}
+					case 3:
+						eng.Stop()
+					}
+				}
+			}))
+		}
 		for pos < len(data) {
-			switch next() % 4 {
+			b := next()
+			switch b % 4 {
 			case 0, 1: // At / After with a bounded delta — identical semantics here
-				d := Time(next()) * Microsecond
-				id := len(model)
-				model = append(model, ref{at: eng.Now() + d, id: id})
-				timers = append(timers, eng.At(eng.Now()+d, func() { fired = append(fired, id) }))
-			case 2: // cancel an arbitrary handle, possibly stale or already cancelled
+				schedule(Time(next())*Microsecond, b%4 == 1 && b >= 0x80)
+			case 2:
 				if len(timers) == 0 {
 					continue
 				}
-				i := int(next()) % len(timers)
-				// Only a live handle removes the event; cancelling a fired or
-				// already-cancelled timer must be inert, so the model entry
-				// flips only when the engine agrees the event is still live.
-				if timers[i].Active() {
-					model[i].canceled = true
-				}
-				timers[i].Cancel()
+				cancel(int(next()) % len(timers))
 			case 3: // partial drain
 				eng.RunUntil(eng.Now() + Time(next())*Microsecond)
 			}
+			if eng.hole {
+				t.Fatal("RunUntil returned with the fired event's root slot still open")
+			}
 		}
-		eng.Run()
+		for eng.PendingRaw() > 0 { // a parent's Stop may end a Run early
+			eng.Run()
+		}
 
 		var want []int
 		for _, r := range model {

@@ -3,6 +3,11 @@
 // cancellable event scheduler backed by a typed 4-ary heap with inline
 // (at, seq) keys, and bandwidth/serialization arithmetic.
 //
+// Scheduling follows the hold model of calendar and ladder queues: a fired
+// event's root slot stays open while its callback runs, and the callback's
+// first schedule takes it with one short sift instead of a pop plus a push
+// (see Engine). The open slot is never visible outside RunUntil.
+//
 // The engine is single-goroutine by design: determinism (bit-identical runs
 // for a given seed) is a hard requirement for reproducing the paper's
 // figures. Parallelism lives one level up, in internal/exp, which runs many
